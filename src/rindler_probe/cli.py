@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -171,7 +170,7 @@ def cmd_spectrum(cfg, out_override=None) -> list:
     return written
 
 
-def cmd_simulate(cfg, out_override=None, seed_override=None, threads=None) -> list:
+def cmd_simulate(cfg, out_override=None, seed_override=None) -> list:
     c0 = cfg["units"]["c0"]
     sp = cfg["spectrum"]
     if sp["eps"] <= 0:
@@ -195,10 +194,7 @@ def cmd_simulate(cfg, out_override=None, seed_override=None, threads=None) -> li
     if half_space:
         traj = scene.trajectory()
 
-    corr = mc.estimate_autocorr(spectrum, traj, ecfg, int(est["N"]), half_space, scene, c0, threads)
-    wig = mc.estimate_wigner(
-        spectrum, traj, ecfg, int(est["N"]), omegas, half_space, scene, c0, xi, threads
-    )
+    corr, wig = mc.estimate_wigner(spectrum, traj, ecfg, int(est["N"]), omegas, half_space, c0)
 
     out = _outdir(cfg, out_override)
     prefix = cfg["output"]["prefix"]
@@ -251,8 +247,7 @@ def cmd_localize(input_path, cfg, stationary=False, out_override=None) -> Path:
         grid = read_wigner_csv(input_path, err_path if err_path.exists() else None)
         if grid.kind != "correction":
             raise ConfigError(f"{input_path}: expected a correction-kind grid, got {grid.kind!r}")
-        scene = cfg["scene"]
-        xi = scene.xi if scene is not None else getattr(cfg["trajectory"], "xi", 1.0)
+        xi = _xi_of(cfg["trajectory"], cfg["scene"])
         fit_cfg = lc.FitConfig(**cfg["fit"]) if cfg["fit"] else lc.FitConfig()
         result = lc.fit_scene(grid, xi, c0, fit_cfg)
         doc = result.to_dict()
@@ -273,16 +268,13 @@ def _print_suite(result) -> None:
             print(f"         {c['detail']}")
 
 
-def cmd_validate(suite_name, out_dir=None, threads=None) -> int:
+def cmd_validate(suite_name, out_dir=None) -> int:
     names = sorted(vd.SUITES) if suite_name == "all" else [suite_name]
     if any(n not in vd.SUITES for n in names):
         raise ConfigError(f"unknown suite {suite_name!r}; choose from {sorted(vd.SUITES)} or 'all'")
     results = []
     for name in names:
-        if name == "montecarlo-planck":
-            results.append(vd.SUITES[name](threads=threads))
-        else:
-            results.append(vd.SUITES[name]())
+        results.append(vd.run_suite(name))
         _print_suite(results[-1])
     out = Path(out_dir) if out_dir else Path(".")
     out.mkdir(parents=True, exist_ok=True)
@@ -322,23 +314,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    threads = None
-    if os.environ.get("RINDLER_PROBE_THREADS"):
-        threads = max(1, int(os.environ["RINDLER_PROBE_THREADS"]))
     try:
         if args.command == "spectrum":
             for path in cmd_spectrum(load_config(args.config), args.out):
                 print(path)
             return 0
         if args.command == "simulate":
-            for path in cmd_simulate(load_config(args.config), args.out, args.seed, threads):
+            for path in cmd_simulate(load_config(args.config), args.out, args.seed):
                 print(path)
             return 0
         if args.command == "localize":
             print(cmd_localize(args.input, load_config(args.config), args.stationary, args.out))
             return 0
         if args.command == "validate":
-            return cmd_validate(args.suite, args.out, threads)
+            return cmd_validate(args.suite, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

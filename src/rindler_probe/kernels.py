@@ -2,8 +2,8 @@
 
 At import time the compiled Cython kernel is preferred; the NumPy fallback
 is used when the extension is not built or when RINDLER_PROBE_FORCE_NUMPY
-is set.  Both implement the same field_sum contract and are compared by
-benchmarks/bench_kernels.py.
+is set.  Both implement the same field_sum contract; the traced benchmark
+run (perfbench/run.py --trace 1) times both and reports their agreement.
 """
 
 import os

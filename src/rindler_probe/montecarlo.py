@@ -40,7 +40,6 @@ __all__ = [
     "field_at",
     "estimate_autocorr",
     "estimate_wigner",
-    "estimate_wigner_stationary",
     "covariance_residual",
 ]
 
@@ -85,6 +84,12 @@ class EstimatorConfig:
             g = getattr(self, name)
             if np.any(np.diff(g) <= 0):
                 raise ValueError(f"{name} must be strictly increasing")
+        # windowed_dft takes the first lag step as the spacing of every lag
+        steps = np.diff(self.taup_grid)
+        if steps.size < 1:
+            raise ValueError("taup_grid needs at least 2 points")
+        if np.any(np.abs(steps - steps[0]) > 1e-9 * steps[0]):
+            raise ValueError("taup_grid must be uniformly spaced")
 
 
 def realization_key(seed: int, r: int) -> int:
@@ -148,9 +153,12 @@ def field_at(ensemble: PlaneWaveEnsemble, events, xyz=None):
 
 def _default_threads() -> int:
     env = os.environ.get("RINDLER_PROBE_THREADS")
-    if env:
+    if not env:
+        return 1
+    try:
         return max(1, int(env))
-    return 1
+    except ValueError:
+        raise ValueError(f"RINDLER_PROBE_THREADS must be an integer, got {env!r}") from None
 
 
 def _sample_times(tau_grid, taup_grid):
@@ -177,6 +185,7 @@ def _accumulate(spectrum, traj, cfg, n_waves, half_space, c0, reducers, threads=
     index within fixed-size chunks, then by chunk index, independent of the
     worker count.
     """
+    n_threads = threads if threads is not None else _default_threads()
     times, idx_plus, idx_minus = _sample_times(cfg.tau_grid, cfg.taup_grid)
     t_lab, xyz = trajectory_points(traj, times, c0)
     if half_space and np.any(xyz[:, 2] <= 0):
@@ -203,7 +212,6 @@ def _accumulate(spectrum, traj, cfg, n_waves, half_space, c0, reducers, threads=
                     s2 += v * v
         return partial
 
-    n_threads = threads if threads is not None else _default_threads()
     if n_threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             partials = list(pool.map(run_chunk, chunks))
@@ -224,23 +232,11 @@ def _accumulate(spectrum, traj, cfg, n_waves, half_space, c0, reducers, threads=
     return results
 
 
-def estimate_autocorr(
-    spectrum: SourceSpectrum,
-    traj: TrajectorySpec,
-    cfg: EstimatorConfig,
-    n_waves: int,
-    half_space: bool = False,
-    scene=None,
-    c0: float = 1.0,
-    threads: int | None = None,
-) -> CorrelationGrid:
-    """Ensemble-averaged lag products along the trajectory, with stderr."""
-    if traj is None and scene is not None:
-        traj = scene.trajectory()
-    (result,) = _accumulate(
-        spectrum, traj, cfg, n_waves, half_space, c0, [lambda prod: prod], threads
-    )
-    mean, stderr = result
+def _identity(prod):
+    return prod
+
+
+def _correlation_grid(cfg, n_waves, mean, stderr) -> CorrelationGrid:
     return CorrelationGrid(
         cfg.tau_grid,
         cfg.taup_grid,
@@ -250,6 +246,20 @@ def estimate_autocorr(
     )
 
 
+def estimate_autocorr(
+    spectrum: SourceSpectrum,
+    traj: TrajectorySpec,
+    cfg: EstimatorConfig,
+    n_waves: int,
+    half_space: bool = False,
+    c0: float = 1.0,
+    threads: int | None = None,
+) -> CorrelationGrid:
+    """Ensemble-averaged lag products along the trajectory, with stderr."""
+    (result,) = _accumulate(spectrum, traj, cfg, n_waves, half_space, c0, [_identity], threads)
+    return _correlation_grid(cfg, n_waves, *result)
+
+
 def estimate_wigner(
     spectrum: SourceSpectrum,
     traj: TrajectorySpec,
@@ -257,67 +267,36 @@ def estimate_wigner(
     n_waves: int,
     omegas,
     half_space: bool = False,
-    scene=None,
     c0: float = 1.0,
-    xi: float = 1.0,
     threads: int | None = None,
-) -> WignerGrid:
-    """Windowed discrete lag transform of the estimated autocorrelation.
+) -> tuple[CorrelationGrid, WignerGrid]:
+    """Autocorrelation and its windowed discrete lag transform, from one pass.
 
-    The comparison target for this estimate is the analytic autocorrelation
+    Both estimates reduce the same per-realization lag products, so the
+    autocorrelation equals estimate_autocorr's bit for bit.  The spectrum
+    axes are scaled by the trajectory's xi (1 when it has none).  The
+    comparison target for the spectrum is the analytic autocorrelation
     pushed through the same window and lag grid (equivalently, the analytic
     Wigner transform convolved with the window kernel).
     """
-    if traj is None and scene is not None:
-        traj = scene.trajectory()
     omegas = np.asarray(omegas, dtype=float)
     chi = window_function(cfg.window, cfg.t_c)(cfg.taup_grid)
 
     def to_wigner(prod):
         return windowed_dft(prod, cfg.taup_grid, chi, omegas)
 
-    (result,) = _accumulate(spectrum, traj, cfg, n_waves, half_space, c0, [to_wigner], threads)
-    mean, stderr = result
-    return WignerGrid(
+    corr, (mean, stderr) = _accumulate(
+        spectrum, traj, cfg, n_waves, half_space, c0, [_identity, to_wigner], threads
+    )
+    xi = getattr(traj, "xi", 1.0)
+    wigner = WignerGrid(
         eta=c0 * cfg.tau_grid / xi,
         nu=xi * omegas / c0,
         values=mean,
         stderr=stderr,
         window=f"{cfg.window}:{cfg.t_c}",
     )
-
-
-def estimate_wigner_stationary(
-    spectrum: SourceSpectrum,
-    traj: TrajectorySpec,
-    cfg: EstimatorConfig,
-    n_waves: int,
-    omegas,
-    c0: float = 1.0,
-    xi: float = 1.0,
-    threads: int | None = None,
-) -> WignerGrid:
-    """Lag-averaged single-spectrum estimate for stationary records.
-
-    Averages the lag products over the (dense, commensurate) tau grid before
-    the windowed transform, which localizes the estimator noise in frequency.
-    Only meaningful for trajectories whose record is stationary.
-    """
-    omegas = np.asarray(omegas, dtype=float)
-    chi = window_function(cfg.window, cfg.t_c)(cfg.taup_grid)
-
-    def to_wigner(prod):
-        return windowed_dft(prod.mean(axis=0), cfg.taup_grid, chi, omegas)
-
-    (result,) = _accumulate(spectrum, traj, cfg, n_waves, False, c0, [to_wigner], threads)
-    mean, stderr = result
-    return WignerGrid(
-        eta=np.array([0.0]),
-        nu=xi * omegas / c0,
-        values=mean[None, :],
-        stderr=stderr[None, :],
-        window=f"{cfg.window}:{cfg.t_c}",
-    )
+    return _correlation_grid(cfg, n_waves, *corr), wigner
 
 
 def covariance_residual(

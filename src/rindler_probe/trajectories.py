@@ -281,9 +281,14 @@ def interval_function(spec: TrajectorySpec, tau, taup, c0: float = 1.0):
     taup = np.asarray(taup, dtype=float)
     tau_b, taup_b = np.broadcast_arrays(tau, taup)
     shape = tau_b.shape
-    t_p, x_p = trajectory_points(spec, (tau_b + taup_b / 2.0).ravel(), c0)
-    t_m, x_m = trajectory_points(spec, (tau_b - taup_b / 2.0).ravel(), c0)
-    d = np.sum((x_p - x_m) ** 2, axis=1) / c0**2 - (t_p - t_m) ** 2
+    if isinstance(spec, (Rindler, ObliqueRindler)):
+        # (cosh a - cosh b)^2 - (sinh a - sinh b)^2 = -4 sinh^2((a - b)/2) exactly;
+        # formed from absolute positions it cancels terms of size cosh^2(c0 tau/xi)
+        d = -((2.0 * spec.xi / c0) * np.sinh(c0 * taup_b.ravel() / (2.0 * spec.xi))) ** 2
+    else:
+        t_p, x_p = trajectory_points(spec, (tau_b + taup_b / 2.0).ravel(), c0)
+        t_m, x_m = trajectory_points(spec, (tau_b - taup_b / 2.0).ravel(), c0)
+        d = np.sum((x_p - x_m) ** 2, axis=1) / c0**2 - (t_p - t_m) ** 2
     if shape == ():
         return float(d[0])
     return d.reshape(shape)

@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rindler_probe import cli
 from rindler_probe import mirror as mr
+from rindler_probe import montecarlo as mc
 from rindler_probe.grids import (
     CorrelationGrid,
     WignerGrid,
@@ -24,8 +26,8 @@ from rindler_probe.grids import (
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args, cwd=None):
-    env = dict(os.environ)
+def run_cli(*args, cwd=None, **env_overrides):
+    env = dict(os.environ, **env_overrides)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, "-m", "rindler_probe.cli", *args],
@@ -147,6 +149,31 @@ def test_cli_simulate_reproducible_bytes(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     meta = json.loads((out1 / "t_run.json").read_text())
     assert meta["seed"] == 11 and meta["n_waves"] == 256
+
+
+def test_cli_simulate_draws_each_realization_once(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    cfg = write_config(cfg_path)
+    draws = []
+    sample = mc.sample_ensemble
+
+    def counting(*args, **kwargs):
+        draws.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "sample_ensemble", counting)
+    cli.cmd_simulate(cli.load_config(cfg_path), tmp_path / "out")
+    assert len(draws) == cfg["estimator"]["M"]
+
+
+def test_cli_rejects_non_integer_thread_count(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    result = run_cli(
+        "simulate", "--config", str(cfg_path), "--out", str(tmp_path), RINDLER_PROBE_THREADS="two"
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:") and "RINDLER_PROBE_THREADS" in result.stderr
 
 
 def test_cli_simulate_seed_override_changes_output(tmp_path):

@@ -193,6 +193,12 @@ def test_determinism_and_isolation():
     g3 = mc.estimate_autocorr(SPECTRUM, tj.Rindler(1.0), cfg, 256, threads=4)
     assert np.array_equal(g1.values, g2.values)
     assert np.array_equal(g1.values, g3.values)
+    # the one-pass estimator's autocorrelation is estimate_autocorr's, bit for bit
+    omegas = np.linspace(0.5, 2.0, 4)
+    for threads in (1, 4):
+        corr, _ = mc.estimate_wigner(SPECTRUM, tj.Rindler(1.0), cfg, 256, omegas, threads=threads)
+        assert np.array_equal(corr.values, g1.values)
+        assert np.array_equal(corr.stderr, g1.stderr)
     # realization reproducible in isolation through its key
     ens = mc.sample_ensemble(SPECTRUM, 256, mc.realization_key(77, 17))
     again = mc.sample_ensemble(SPECTRUM, 256, mc.realization_key(77, 17))
@@ -234,7 +240,7 @@ def test_mirror_estimate_matches_deformed_autocorr():
         taup_grid=np.arange(-60, 61) * 0.05,
         seed=57,
     )
-    grid = mc.estimate_autocorr(SPECTRUM, None, cfg, 2048, half_space=True, scene=scene)
+    grid = mc.estimate_autocorr(SPECTRUM, scene.trajectory(), cfg, 2048, half_space=True)
     target = mr.mirror_autocorr_regularized(scene, 1.0, SPECTRUM.eps, 0.0, grid.tau_prime)
     z = (grid.values[0] - target) / grid.stderr[0]
     assert np.mean(np.abs(z) <= 3.0) >= 0.95
@@ -255,7 +261,7 @@ def test_mirror_wigner_dip_structure():
         seed=2718,
     )
     omegas = np.linspace(0.5, 3.0, 11)
-    grid = mc.estimate_wigner(SPECTRUM, None, cfg, 2048, omegas, half_space=True, scene=scene)
+    _, grid = mc.estimate_wigner(SPECTRUM, scene.trajectory(), cfg, 2048, omegas, half_space=True)
     chi = window_function(cfg.window, cfg.t_c)(cfg.taup_grid)
     target = ff.windowed_dft(
         mr.mirror_autocorr_regularized(scene, 1.0, SPECTRUM.eps, 0.0, cfg.taup_grid),
@@ -296,8 +302,17 @@ def test_estimate_wigner_shapes_and_window_tag():
         seed=3,
     )
     omegas = np.linspace(0.5, 2.5, 9)
-    grid = mc.estimate_wigner(SPECTRUM, tj.Rindler(1.0), cfg, 512, omegas)
+    corr, grid = mc.estimate_wigner(SPECTRUM, tj.Rindler(1.0), cfg, 512, omegas)
+    assert corr.values.shape == corr.stderr.shape == (2, 81)
     assert grid.values.shape == (2, 9)
     assert grid.stderr.shape == (2, 9)
     assert grid.window == "gaussian:1.5"
     assert np.allclose(grid.nu, omegas)
+
+
+def test_taup_grid_must_be_uniform():
+    for taup in ([-1.0, -0.5, 0.0, 1.0, 2.5], [0.0]):
+        with pytest.raises(ValueError):
+            mc.EstimatorConfig(m_realizations=2, tau_grid=[0.0], taup_grid=taup)
+    for taup in (np.linspace(-10.0, 10.0, 401), np.arange(-560, 561) * 0.0125):
+        mc.EstimatorConfig(m_realizations=2, tau_grid=[0.0], taup_grid=taup)
