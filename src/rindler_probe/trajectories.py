@@ -276,19 +276,36 @@ def proper_time_defect(spec: TrajectorySpec, tau_grid, c0: float = 1.0) -> float
 
 
 def interval_function(spec: TrajectorySpec, tau, taup, c0: float = 1.0):
-    """Centered interval D(tau, tau') between the events at tau +- tau'/2."""
+    """Centered interval D(tau, tau') between the events at tau +- tau'/2.
+
+    Split along the light cone of the world-line's boost axis n,
+    D = |dx_perp|^2 / c0^2 - d_minus d_plus with d_-+ = dt -+ (n . dx) / c0
+    and dx_perp the part of dx normal to n.  Along the hyperbolic
+    world-lines (t, n . x / c0) = amp (xi / c0) (sinh, cosh)(c0 tau / xi), so
+    d_-+ = 2 amp (xi / c0) sinh(c0 tau' / 2 xi) e^{-+c0 tau / xi} by the
+    difference identities; formed from dt and n . dx instead, the product
+    cancels terms of size cosh^2(c0 tau / xi).
+    """
     tau = np.asarray(tau, dtype=float)
     taup = np.asarray(taup, dtype=float)
     tau_b, taup_b = np.broadcast_arrays(tau, taup)
     shape = tau_b.shape
-    if isinstance(spec, (Rindler, ObliqueRindler)):
-        # (cosh a - cosh b)^2 - (sinh a - sinh b)^2 = -4 sinh^2((a - b)/2) exactly;
-        # formed from absolute positions it cancels terms of size cosh^2(c0 tau/xi)
-        d = -((2.0 * spec.xi / c0) * np.sinh(c0 * taup_b.ravel() / (2.0 * spec.xi))) ** 2
+    tau_b, taup_b = tau_b.ravel(), taup_b.ravel()
+    t_p, x_p = trajectory_points(spec, tau_b + taup_b / 2.0, c0)
+    t_m, x_m = trajectory_points(spec, tau_b - taup_b / 2.0, c0)
+    alpha = spec.alpha if isinstance(spec, ObliqueRindler) else 0.0
+    n = np.array([math.sin(alpha), 0.0, math.cos(alpha)])
+    dx_n = (x_p - x_m) @ n
+    dx_perp = (x_p - x_m) - dx_n[:, None] * n
+    if isinstance(spec, (Rindler, ObliqueRindler, HelicoidAccelerated)):
+        amp = math.sqrt(spec.A**2 + 1.0) if isinstance(spec, HelicoidAccelerated) else 1.0
+        s = 2.0 * amp * (spec.xi / c0) * np.sinh(c0 * taup_b / (2.0 * spec.xi))
+        d_minus = s * np.exp(-c0 * tau_b / spec.xi)
+        d_plus = s * np.exp(c0 * tau_b / spec.xi)
     else:
-        t_p, x_p = trajectory_points(spec, (tau_b + taup_b / 2.0).ravel(), c0)
-        t_m, x_m = trajectory_points(spec, (tau_b - taup_b / 2.0).ravel(), c0)
-        d = np.sum((x_p - x_m) ** 2, axis=1) / c0**2 - (t_p - t_m) ** 2
+        d_minus = (t_p - t_m) - dx_n / c0
+        d_plus = (t_p - t_m) + dx_n / c0
+    d = np.sum(dx_perp**2, axis=1) / c0**2 - d_minus * d_plus
     if shape == ():
         return float(d[0])
     return d.reshape(shape)

@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -67,6 +69,50 @@ def test_interval_function_circular_closed_form():
     taup = 0.9
     expected = 4.0 * (gamma**2 - 1.0) / p**2 * math.sin(p * taup / 2.0) ** 2 - gamma**2 * taup**2
     assert tj.interval_function(spec, 1.3, taup) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", ANALYTIC_SPECS, ids=lambda s: s.kind)
+def test_interval_function_matches_events(spec):
+    # at |c0 tau / xi| <= 2, |dx|^2 - dt^2 formed from the events loses at most
+    # two digits, so it checks the light-cone split against the world-line
+    tau = np.linspace(-1.0, 1.0, 9)[:, None]
+    taup = np.linspace(0.2, 1.5, 6)[None, :]
+    t_p, x_p = tj.trajectory_points(spec, (tau + taup / 2.0).ravel())
+    t_m, x_m = tj.trajectory_points(spec, (tau - taup / 2.0).ravel())
+    events = np.sum((x_p - x_m) ** 2, axis=1) - (t_p - t_m) ** 2
+    d = tj.interval_function(spec, tau, taup)
+    np.testing.assert_allclose(d, events.reshape(d.shape), rtol=1e-12, atol=0)
+
+
+def _hyperbolic_interval_60_digits(spec, tau, taup):
+    # |dx|^2 - dt^2 at 60 significant digits (c0 = 1); only the bounded helix
+    # chord of HelicoidAccelerated is taken in double precision
+    amp = math.sqrt(spec.A**2 + 1.0) if isinstance(spec, tj.HelicoidAccelerated) else 1.0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        xi = Decimal(spec.xi)
+        e_p = (Decimal(tau + taup / 2.0) / xi).exp()
+        e_m = (Decimal(tau - taup / 2.0) / xi).exp()
+        dt = Decimal(amp) * xi * ((e_p - 1 / e_p) - (e_m - 1 / e_m)) / 2
+        dr = Decimal(amp) * xi * ((e_p + 1 / e_p) - (e_m + 1 / e_m)) / 2
+        _, x_p = tj.trajectory_points(spec, [tau + taup / 2.0])
+        _, x_m = tj.trajectory_points(spec, [tau - taup / 2.0])
+        chord = float(np.sum((x_p[0, :2] - x_m[0, :2]) ** 2)) if amp != 1.0 else 0.0
+        return float(dr * dr - dt * dt + Decimal(chord))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [tj.Rindler(0.1), tj.ObliqueRindler(0.1, 0.3, 0.4), tj.HelicoidAccelerated(0.5, 0.1, 3.0)],
+    ids=lambda s: s.kind,
+)
+def test_interval_function_at_large_eta(spec):
+    # c0 tau / xi up to 20, where |dx|^2 - dt^2 in double precision would
+    # cancel terms about 1e17 times the interval
+    for tau in (-2.0, -0.7, 0.0, 1.3, 2.0):
+        for taup in (0.05, 0.3):
+            expected = _hyperbolic_interval_60_digits(spec, tau, taup)
+            assert tj.interval_function(spec, tau, taup) == pytest.approx(expected, rel=1e-12)
 
 
 def test_stationarity_defects():
