@@ -3,6 +3,13 @@
 import numpy as np
 
 
+def polar(a_re, a_im):
+    """(2|a|, arg a) of the complex amplitudes a = a_re + i a_im, as float64."""
+    a_re = np.asarray(a_re, dtype=float)
+    a_im = np.asarray(a_im, dtype=float)
+    return 2.0 * np.hypot(a_re, a_im), np.arctan2(a_im, a_re)
+
+
 def field_sum(t, xyz, kvec, omega, a_re, a_im, half_space):
     """Real field 2 Re sum_j a_j (e^{i k_j . x} [- e^{i k_j . x^s}]) e^{-i w_j t}.
 
@@ -14,8 +21,7 @@ def field_sum(t, xyz, kvec, omega, a_re, a_im, half_space):
     xyz = np.ascontiguousarray(xyz, dtype=float)
     n_events = t.shape[0]
     n_waves = omega.shape[0]
-    amp2 = 2.0 * np.hypot(a_re, a_im)
-    theta = np.arctan2(np.asarray(a_im), np.asarray(a_re))
+    amp2, theta = polar(a_re, a_im)
     out = np.empty(n_events)
     chunk = max(1, 4_000_000 // max(n_waves, 1))
     for lo in range(0, n_events, chunk):

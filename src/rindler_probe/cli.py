@@ -19,7 +19,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import __version__
 from . import freefield as ff
 from . import kernels
 from . import localize as lc
@@ -224,6 +226,8 @@ def cmd_simulate(cfg, out_override=None, seed_override=None) -> list:
         "trajectory": trajectory_to_dict(traj),
         "scene": mr.scene_to_dict(scene) if scene is not None else None,
         "backend": kernels.BACKEND,
+        "threads": mc._default_threads(),
+        "versions": {"rindler_probe": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
     }
     path = out / f"{prefix}_run.json"
     with open(path, "w") as fh:

@@ -181,9 +181,11 @@ def _accumulate(spectrum, traj, cfg, n_waves, half_space, c0, reducers, threads=
     """Mean and stderr of per-realization reducer outputs, fixed-order reduction.
 
     Each reducer maps the (n_tau, n_taup) lag-product matrix of one
-    realization to an arbitrary array.  Reduction order is by realization
-    index within fixed-size chunks, then by chunk index, independent of the
-    worker count.
+    realization to an arbitrary array.  Each fixed-size chunk of realizations
+    is reduced in realization order to its mean and sum of squared
+    deviations (Welford); the chunks are merged in chunk order (Chan, Golub &
+    LeVeque 1979), so the result does not depend on the worker count and the
+    variance has no cancellation when |mean| >> stderr.
     """
     n_threads = threads if threads is not None else _default_threads()
     times, idx_plus, idx_minus = _sample_times(cfg.tau_grid, cfg.taup_grid)
@@ -205,12 +207,13 @@ def _accumulate(spectrum, traj, cfg, n_waves, half_space, c0, reducers, threads=
             prod = u[idx_plus] * u[idx_minus]
             vals = [np.asarray(red(prod), dtype=float) for red in reducers]
             if partial is None:
-                partial = [(v.copy(), v * v) for v in vals]
+                partial = [(v.copy(), np.zeros_like(v)) for v in vals]
             else:
-                for (s, s2), v in zip(partial, vals):
-                    s += v
-                    s2 += v * v
-        return partial
+                for (mean, m2), v in zip(partial, vals):
+                    delta = v - mean
+                    mean += delta / (r - lo + 1)
+                    m2 += delta * (v - mean)
+        return hi - lo, partial
 
     if n_threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
@@ -220,14 +223,14 @@ def _accumulate(spectrum, traj, cfg, n_waves, half_space, c0, reducers, threads=
 
     results = []
     for i in range(len(reducers)):
-        total = sum(p[i][0] for p in partials)
-        total2 = sum(p[i][1] for p in partials)
-        mean = total / m
-        if m > 1:
-            var = np.maximum(total2 / m - mean**2, 0.0) * m / (m - 1)
-            stderr = np.sqrt(var / m)
-        else:
-            stderr = np.full_like(mean, np.nan)
+        n, mean, m2 = 0, 0.0, 0.0
+        for count, partial in partials:
+            chunk_mean, chunk_m2 = partial[i]
+            delta = chunk_mean - mean
+            mean = mean + delta * (count / (n + count))
+            m2 = m2 + chunk_m2 + delta * delta * (n * count / (n + count))
+            n += count
+        stderr = np.sqrt(m2 / ((m - 1) * m)) if m > 1 else np.full_like(mean, np.nan)
         results.append((mean, stderr))
     return results
 

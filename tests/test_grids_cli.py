@@ -149,6 +149,8 @@ def test_cli_simulate_reproducible_bytes(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     meta = json.loads((out1 / "t_run.json").read_text())
     assert meta["seed"] == 11 and meta["n_waves"] == 256
+    assert meta["backend"] in ("c", "numpy") and meta["threads"] == mc._default_threads()
+    assert meta["versions"]["numpy"] == np.__version__
 
 
 def test_cli_simulate_draws_each_realization_once(tmp_path, monkeypatch):

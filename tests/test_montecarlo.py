@@ -1,4 +1,8 @@
 import math
+import shutil
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -91,6 +95,91 @@ def test_kernel_backends_agree():
         a = kernels.field_sum(t, xyz, k, om, ar, ai, hs)
         b = kernels.field_sum_numpy(t, xyz, k, om, ar, ai, hs)
         assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+
+def _kernel_args(n_events, n_waves, seed):
+    rng = np.random.default_rng(seed)
+    return (
+        rng.normal(size=n_events),
+        rng.normal(size=(n_events, 3)),
+        rng.normal(size=(n_waves, 3)),
+        np.abs(rng.normal(size=n_waves)),
+        rng.normal(size=n_waves),
+        rng.normal(size=n_waves),
+    )
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler `cc` on PATH")
+def test_compiled_kernel_selected_when_cc_exists():
+    assert kernels.BACKEND == "c"
+
+
+@pytest.mark.parametrize("half_space", [False, True])
+def test_kernel_agrees_with_numpy_at_benchmark_shape(half_space):
+    args = _kernel_args(481, 4096, 5)
+    a = kernels.field_sum(*args, half_space)
+    b = kernels.field_sum_numpy(*args, half_space)
+    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_kernel_reads_strided_and_integer_inputs():
+    rng = np.random.default_rng(6)
+    t = rng.integers(-3, 4, 20).astype(float)
+    xyz = rng.integers(-3, 4, (20, 3)).astype(float)
+    k = rng.normal(size=(64, 3))
+    om = np.linalg.norm(k, axis=1)
+    ar, ai = rng.integers(-2, 3, 64).astype(float), rng.normal(size=64)
+    for hs in (False, True):
+        ref = kernels.field_sum(t, xyz, k, om, ar, ai, hs)
+        wide = np.repeat(k, 2, axis=1)  # k is wide[:, ::2], a strided view
+        variants = [
+            (np.repeat(t, 2)[::2], xyz, k, om, ar, ai),
+            (t.astype(int), np.asfortranarray(xyz), wide[:, ::2], om, ar.astype(int), ai),
+            (t, xyz.astype(np.int32), np.asfortranarray(k), np.repeat(om, 3)[::3], ar, ai),
+        ]
+        for args in variants:
+            np.testing.assert_array_equal(kernels.field_sum(*args, hs), ref)
+
+
+def test_backend_selected_once_under_threads(monkeypatch):
+    loads = []
+
+    def slow_load():
+        loads.append(None)
+        time.sleep(0.05)
+        return kernels.field_sum_numpy
+
+    monkeypatch.setattr(kernels, "_impl", None)
+    monkeypatch.setattr(kernels, "_load", slow_load)
+    args = _kernel_args(10, 20, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(kernels.field_sum, *args, False) for _ in range(32)]
+            results = [f.result(timeout=30) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(loads) == 1
+    for r in results:
+        np.testing.assert_array_equal(r, results[0])
+
+
+@pytest.mark.parametrize(
+    "command, cache",
+    [
+        (("no-such-cc", *kernels._COMMAND[1:]), "cache"),  # no compiler
+        (("false", *kernels._COMMAND[1:]), "cache"),  # the build fails
+        (kernels._COMMAND, "file/cache"),  # the cache cannot be made
+    ],
+)
+def test_failed_build_warns_and_uses_numpy(tmp_path, command, cache):
+    (tmp_path / "file").write_text("")
+    with pytest.warns(RuntimeWarning, match=command[0]):
+        impl = kernels._load(command, tmp_path / cache)
+    args = _kernel_args(30, 50, 7)
+    for hs in (False, True):
+        np.testing.assert_array_equal(impl(*args, hs), kernels.field_sum_numpy(*args, hs))
 
 
 def test_image_mode_cross_terms():
@@ -203,6 +292,28 @@ def test_determinism_and_isolation():
     ens = mc.sample_ensemble(SPECTRUM, 256, mc.realization_key(77, 17))
     again = mc.sample_ensemble(SPECTRUM, 256, mc.realization_key(77, 17))
     assert np.array_equal(ens.k, again.k) and np.array_equal(ens.amp, again.amp)
+
+
+def test_stderr_has_no_cancellation_at_large_mean():
+    # a reducer offset by 1e8 leaves the stderr unchanged; a raw
+    # sum-of-squares variance loses it to cancellation at this offset
+    cfg = mc.EstimatorConfig(
+        m_realizations=40,  # two reduction chunks
+        tau_grid=np.array([0.0]),
+        taup_grid=np.linspace(-1.0, 1.0, 5),
+        seed=13,
+    )
+
+    def accumulate(offset):
+        reducer = lambda prod: offset + 1e-3 * prod[0]
+        ((mean, stderr),) = mc._accumulate(SPECTRUM, tj.Rindler(1.0), cfg, 64, False, 1.0, [reducer])
+        return mean, stderr
+
+    mean0, stderr0 = accumulate(0.0)
+    mean8, stderr8 = accumulate(1e8)
+    assert np.all(stderr0 > 0)
+    np.testing.assert_allclose(mean8 - 1e8, mean0, rtol=0, atol=1e-7)
+    np.testing.assert_allclose(stderr8, stderr0, rtol=1e-4)
 
 
 def test_estimate_autocorr_matches_analytic():
