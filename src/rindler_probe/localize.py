@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .grids import WignerGrid
-from .mirror import MirrorScene, correction_R
+from .mirror import MirrorScene, correction_lattice, correction_R
 
 __all__ = [
     "FitConfig",
@@ -99,6 +99,12 @@ def _weights_for(r_obs: WignerGrid, mode: str):
     return np.ones_like(r_obs.values)
 
 
+def _folded_eta(r_obs: WignerGrid):
+    # R is even in eta: the model is evaluated on the distinct |eta| and
+    # gathered back onto the observed rows through the inverse index
+    return np.unique(np.abs(r_obs.eta), return_inverse=True)
+
+
 def objective(r_obs: WignerGrid, alpha: float, alpha0: float, xi: float = 1.0,
               c0: float = 1.0, weights=None) -> float:
     """Weighted squared mismatch between the observed and model corrections."""
@@ -109,7 +115,8 @@ def objective(r_obs: WignerGrid, alpha: float, alpha0: float, xi: float = 1.0,
     if weights is None:
         weights = np.ones_like(r_obs.values)
     scene = MirrorScene(xi=xi, xi0=alpha0 * xi, alpha=alpha, c0=c0)
-    model = correction_R(scene, r_obs.eta[:, None], r_obs.nu[None, :])
+    eta, inverse = _folded_eta(r_obs)
+    model = correction_R(scene, eta[:, None], r_obs.nu[None, :])[inverse]
     return float(np.sum(weights * (r_obs.values - model) ** 2))
 
 
@@ -117,6 +124,7 @@ def fit_scene(r_obs: WignerGrid, xi: float = 1.0, c0: float = 1.0,
               cfg: FitConfig = FitConfig()) -> LocalizationResult:
     """Coarse grid search plus simplex refinement of (alpha, alpha0).
 
+    The coarse grid is scored one alpha row per correction_lattice call.
     The refinement is the reflection-contraction simplex (Nelder-Mead),
     stopped when the simplex objective spread falls below refinement_tol or
     the evaluation budget runs out (then the best-so-far is returned with
@@ -138,14 +146,22 @@ def fit_scene(r_obs: WignerGrid, xi: float = 1.0, c0: float = 1.0,
         trace.append((alpha, alpha0, val))
         return val
 
+    # coarse lattice, one alpha row per model evaluation; the points kept
+    # lie inside the penalized domain, so each row is scored directly
     alphas = np.linspace(0.0, math.pi / 2 * (1.0 - 1.0 / cfg.n_alpha), cfg.n_alpha)
     alpha0s = np.linspace(-1.0 + 2.0 / cfg.n_alpha0, cfg.alpha0_max, cfg.n_alpha0)
+    eta, inverse = _folded_eta(r_obs)
     best = None
     for a in alphas:
-        for b in alpha0s:
-            if b <= -math.cos(a) + 1e-6:
-                continue
-            val = penalized((a, b))
+        row = alpha0s[(alpha0s > -math.cos(a) + 1e-6) & (alpha0s <= cfg.alpha0_max)]
+        if row.size == 0:
+            continue
+        model = correction_lattice(a, row, eta, r_obs.nu)[:, inverse, :]
+        vals = np.sum(weights * (r_obs.values - model) ** 2, axis=(1, 2))
+        state["evals"] += row.size
+        for b, val in zip(row, vals):
+            val = float(val)
+            trace.append((a, b, val))
             if best is None or val < best[2]:
                 best = (a, b, val)
     if best is None:

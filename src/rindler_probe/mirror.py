@@ -11,8 +11,9 @@ collapses to a quadratic in cosh(eta'/2) with coefficients
 
 which is exactly the admissible domain of the Psi integral in core_math.
 The spectral correction R(eta, nu) is Psi evaluated at 2 nu, normalized by
-the free Planck spectrum; its general and normal-incidence closed forms are
-implemented here in vectorized form.
+the free Planck spectrum.  Its general and normal-incidence closed forms are
+evaluated in two vectorized stages, one per (alpha, alpha0, |eta|) and one
+per nu, shared by correction_R and the pose-fit lattice correction_lattice.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "mirror_autocorr",
     "mirror_autocorr_regularized",
     "correction_R",
+    "correction_lattice",
     "correction_grid",
     "mirror_wigner",
     "near_wall_limit",
@@ -85,13 +87,12 @@ class AbcCoefficients:
     C: float
 
 
-def _abc_arrays(scene: MirrorScene, eta):
+def _abc_arrays(alpha: float, alpha0, eta):
     eta = np.asarray(eta, dtype=float)
-    a0 = scene.alpha0
-    ca = math.cos(scene.alpha)
-    a = math.sin(scene.alpha) ** 2
-    b = -2.0 * a0 * ca * np.cosh(eta)
-    c = -1.0 - a0**2 - ca**2 * np.sinh(eta) ** 2
+    ca = math.cos(alpha)
+    a = math.sin(alpha) ** 2
+    b = -2.0 * alpha0 * ca * np.cosh(eta)
+    c = -1.0 - alpha0**2 - ca**2 * np.sinh(eta) ** 2
     return a, b, c
 
 
@@ -104,7 +105,7 @@ def abc_coefficients(scene: MirrorScene, eta: float) -> AbcCoefficients:
     take their removable limits.  A strictly positive value can only mean an
     internal error and raises.
     """
-    a, b, c = _abc_arrays(scene, eta)
+    a, b, c = _abc_arrays(scene.alpha, scene.alpha0, eta)
     gap = a + c + abs(float(b))
     if gap > 1e-12:
         raise RuntimeError(f"admissibility violated: A + C + |B| = {gap} > 0")
@@ -134,7 +135,7 @@ def mirror_autocorr(scene: MirrorScene, f0: float, tau, taup):
         raise ValueError("zero-lag rejected: the unregularized autocorrelation diverges at tau' = 0")
     eta = scene.c0 * tau / scene.xi
     etap = scene.c0 * taup / scene.xi
-    a, b, c = _abc_arrays(scene, eta)
+    a, b, c = _abc_arrays(scene.alpha, scene.alpha0, eta)
     k = scene.c0**2 * f0 / (16.0 * math.pi**2 * scene.xi**2)
     y = np.cosh(etap / 2.0)
     with np.errstate(divide="ignore"):
@@ -167,49 +168,72 @@ def _h_factor(nu):
     return 1.0 / (2.0 * np.cosh(np.pi * nu) ** 2)
 
 
-def _t_ratio(nu, x):
-    # sin(2 nu x) / (nu sinh x), removable at nu = 0 (-> 2x/sinh x) and x = 0 (-> 2)
-    x = np.asarray(x, dtype=float)
+# R is built in two stages.  Stage 1 depends only on (alpha, alpha0, |eta|)
+# and reduces the scene to two terms (c+, x+) and (c-, x-); stage 2 adds the
+# nu dependence,
+#
+#     R = (1 - h(nu)) c+ sinc(2 nu x+) + h(nu) c- sinc(2 nu x-),
+#
+# so the roots, logarithms and square roots are computed once per eta row,
+# not once per (eta, nu) point.
+
+
+def _lead(x):
+    # x / sinh x, removable at x = 0 (-> 1)
     small = x < 1e-8
     x_safe = np.where(small, 1.0, x)
-    lead = np.where(small, 1.0 - x * x / 6.0, x / np.sinh(x_safe))
-    return 2.0 * lead * np.sinc(2.0 * nu * x / np.pi)
+    return np.where(small, 1.0 - x * x / 6.0, x / np.sinh(x_safe))
 
 
-def _correction_general(a, b, c, nu):
-    """Oblique-incidence correction from the quadratic coefficients (vectorized)."""
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    delta = b * b - 4.0 * a * c
-    sq = np.sqrt(delta)
+def _terms_general(a, b, c):
+    """Stage 1 at oblique incidence: (c+, x+, c-, x-) from the quadratic coefficients."""
+    sq = np.sqrt(b * b - 4.0 * a * c)
     # large-magnitude root by the non-cancelling branch, the other by Vieta
     neg_b = b < 0
     root_big = np.where(neg_b, (-b + sq) / (2.0 * a), (-b - sq) / (2.0 * a))
     root_other = c / (a * root_big)
-    c_plus = np.where(neg_b, root_big, root_other)
-    c_minus = np.where(neg_b, root_other, root_big)
-    x_plus = argcosh(c_plus)
-    x_minus = argcosh(-c_minus)
-    h = _h_factor(nu)
-    return ((1.0 - h) * _t_ratio(nu, x_plus) + h * _t_ratio(nu, x_minus)) / sq
+    x_plus = argcosh(np.where(neg_b, root_big, root_other))
+    x_minus = argcosh(-np.where(neg_b, root_other, root_big))
+    scale = 2.0 / sq
+    return scale * _lead(x_plus), x_plus, scale * _lead(x_minus), x_minus
 
 
-def _correction_normal(alpha0, eta, nu):
-    """Normal-incidence correction (the two-branch closed form), vectorized."""
-    eta = np.asarray(eta, dtype=float)
-    nu = np.asarray(nu, dtype=float)
+def _terms_normal(alpha0, eta):
+    """Stage 1 at normal incidence: the two-branch closed form.
+
+    Only the + term (alpha0 < 0) or the - term (alpha0 > 0) is live; both
+    vanish for the degenerate |alpha0| < 1e-12.  Vectorized over alpha0.
+    """
     ch = np.cosh(eta)
-    aa = abs(alpha0)
-    q = np.abs(np.log(ch / aa))
-    s = np.abs(ch * ch - alpha0 * alpha0)
-    h = _h_factor(nu)
-    pref = (1.0 - h) if alpha0 < 0 else h
+    live = np.abs(alpha0) >= 1e-12
+    a0 = np.where(live, alpha0, 1.0)
+    q = np.abs(np.log(ch / np.abs(a0)))
+    s = np.abs(ch * ch - a0 * a0)
     # sin(2 nu q)/(nu s) with the grazing degeneracy q, s -> 0 (q/s -> 1/(2 alpha0^2))
-    tiny = s < 1e-12 * (ch * ch + alpha0 * alpha0)
-    s_safe = np.where(tiny, 1.0, s)
-    ratio = np.where(tiny, 1.0 / alpha0**2, 2.0 * q / s_safe)
-    return pref * ratio * np.sinc(2.0 * nu * q / np.pi)
+    tiny = s < 1e-12 * (ch * ch + a0 * a0)
+    ratio = np.where(tiny, 1.0 / (a0 * a0), 2.0 * q / np.where(tiny, 1.0, s))
+    return np.where(live & (alpha0 < 0), ratio, 0.0), q, np.where(live & (alpha0 > 0), ratio, 0.0), q
+
+
+def _terms(alpha, alpha0, eta):
+    """Stage 1 for tilt alpha; alpha0 and eta broadcast against each other."""
+    if abs(alpha) >= ALPHA_SWITCH:
+        return _terms_general(*_abc_arrays(alpha, alpha0, eta))
+    return _terms_normal(alpha0, eta)
+
+
+def _sinc(x):
+    # sin(x)/x for x >= 0; at x = 0 the floor gives sin(1e-300)/1e-300 == 1
+    x = np.maximum(x, 1e-300)
+    return np.sin(x) / x
+
+
+def _spectral_sum(terms, nu):
+    """Stage 2: R from the stage-1 terms, broadcast against nu >= 0."""
+    c_plus, x_plus, c_minus, x_minus = terms
+    h = _h_factor(nu)
+    two_nu = 2.0 * nu
+    return (1.0 - h) * c_plus * _sinc(two_nu * x_plus) + h * c_minus * _sinc(two_nu * x_minus)
 
 
 def correction_R(scene: MirrorScene, eta, nu):
@@ -222,17 +246,28 @@ def correction_R(scene: MirrorScene, eta, nu):
     """
     eta = np.abs(np.asarray(eta, dtype=float))
     nu = np.abs(np.asarray(nu, dtype=float))
-    eta, nu = np.broadcast_arrays(eta, nu)
-    if abs(scene.alpha) >= ALPHA_SWITCH:
-        a, b, c = _abc_arrays(scene, eta)
-        out = _correction_general(a, b, c, nu)
-    elif abs(scene.alpha0) < 1e-12:
-        out = np.zeros_like(np.asarray(eta, dtype=float))
-    else:
-        out = _correction_normal(scene.alpha0, eta, nu)
+    out = _spectral_sum(_terms(scene.alpha, scene.alpha0, eta), nu)
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def correction_lattice(alpha: float, alpha0s, eta, nu):
+    """R for one tilt over a row of offsets, shape (len(alpha0s), len(eta), len(nu)).
+
+    Entry [i, j, k] is correction_R of the scene (alpha, alpha0s[i]) at
+    (eta[j], nu[k]), from the same two stages; stage 1 runs once per
+    (alpha0, eta) pair.  Every alpha0 must satisfy alpha0 > -cos(alpha).
+    """
+    if not -math.pi / 2 < alpha < math.pi / 2:
+        raise ValueError("alpha must be in (-pi/2, pi/2)")
+    alpha0s = np.asarray(alpha0s, dtype=float)
+    if alpha0s.ndim != 1 or not np.all(alpha0s > -math.cos(alpha)):
+        raise ValueError("alpha0s: need a 1-D row with every alpha0 > -cos(alpha)")
+    eta = np.abs(np.asarray(eta, dtype=float))
+    nu = np.abs(np.asarray(nu, dtype=float))
+    terms = _terms(alpha, alpha0s[:, None, None], eta[None, :, None])
+    return _spectral_sum(terms, nu)
 
 
 def correction_grid(scene: MirrorScene, eta, nu) -> WignerGrid:

@@ -184,25 +184,11 @@ TrajectorySpec = Union[
     TestQuadratic,
 ]
 
-_QUADRATIC_STEPS = 10_000
-
 
 def _quadratic_lab_time(beta: float, tau: np.ndarray, c0: float) -> np.ndarray:
-    # fixed-step RK4 on dt/dsigma = sqrt(1 + (2 beta sigma / c0)^2), from 0 to tau
-    h = tau / _QUADRATIC_STEPS
-
-    def f(sigma):
-        return np.sqrt(1.0 + (2.0 * beta * sigma / c0) ** 2)
-
-    t = np.zeros_like(tau)
-    sigma = np.zeros_like(tau)
-    for _ in range(_QUADRATIC_STEPS):
-        k1 = f(sigma)
-        k23 = f(sigma + 0.5 * h)
-        k4 = f(sigma + h)
-        t = t + h / 6.0 * (k1 + 4.0 * k23 + k4)
-        sigma = sigma + h
-    return t
+    # t = int_0^tau sqrt(1 + (2 beta sigma / c0)^2) dsigma, in closed form
+    u = 2.0 * beta * tau / c0
+    return (c0 / (4.0 * beta)) * (u * np.sqrt(1.0 + u * u) + np.arcsinh(u))
 
 
 def trajectory_points(spec: TrajectorySpec, tau, c0: float = 1.0):

@@ -108,3 +108,79 @@ def test_fit_distance_band_too_narrow():
         lc.fit_distance_stationary(omega, np.ones(omega.size), 1.0)
     with pytest.raises(ValueError):
         lc.fit_distance_stationary(omega[:4], np.ones(4), 1.0)
+
+
+def _coarse_points(cfg):
+    alphas = np.linspace(0.0, math.pi / 2 * (1.0 - 1.0 / cfg.n_alpha), cfg.n_alpha)
+    alpha0s = np.linspace(-1.0 + 2.0 / cfg.n_alpha0, cfg.alpha0_max, cfg.n_alpha0)
+    # the admissible set, minus the points that the penalty rejects when
+    # alpha0_max lies below the lattice's first offset
+    return [(a, b) for a in alphas for b in alpha0s if -math.cos(a) + 1e-6 < b <= cfg.alpha0_max]
+
+
+def _noisy(grid, seed):
+    rng = np.random.default_rng(seed)
+    grid.stderr = 0.01 * np.abs(grid.values)
+    grid.values = grid.values + grid.stderr * rng.standard_normal(grid.values.shape)
+    return grid
+
+
+def _unfolded_objective(r_obs, alpha, alpha0, weights):
+    scene = mr.MirrorScene(xi=1.0, xi0=alpha0, alpha=alpha)
+    model = mr.correction_R(scene, r_obs.eta[:, None], r_obs.nu[None, :])
+    return float(np.sum(weights * (r_obs.values - model) ** 2))
+
+
+def _check_coarse_trace(res, r_obs, cfg, reference):
+    points = _coarse_points(cfg)
+    coarse = res.trace[: len(points)]
+    assert [(a, b) for a, b, _ in coarse] == points  # alpha-major order, same admissible set
+    assert res.evaluations == len(res.trace) > len(points)
+    weights = lc._weights_for(r_obs, cfg.weight_mode)
+    for a, b, val in coarse:
+        assert val == pytest.approx(reference(r_obs, a, b, weights), rel=1e-12, abs=0.0)
+    # the simplex starts from the first strict minimum of the coarse values
+    first_min = int(np.argmin([val for _, _, val in coarse]))
+    assert res.trace[len(points)][:2] == coarse[first_min][:2]
+
+
+# the benchmark's four localize scenes: (alpha, alpha0, noisy)
+@pytest.mark.parametrize("alpha, alpha0, noisy",
+                         [(0.0, -0.9, False), (0.0, 0.5, False), (math.pi / 4, -0.5, True), (1.2, 2.0, True)])
+def test_coarse_trace_matches_objective(alpha, alpha0, noisy):
+    r_obs = mr.correction_grid(mr.MirrorScene(xi=1.0, xi0=alpha0, alpha=alpha), ETA, NU)
+    if noisy:
+        r_obs = _noisy(r_obs, seed=11)
+    cfg = lc.FitConfig(max_evaluations=0)  # the coarse lattice, then a 10-step simplex
+    res = lc.fit_scene(r_obs, cfg=cfg)
+
+    def reference(grid, a, b, weights):
+        return lc.objective(grid, a, b, weights=weights)
+
+    _check_coarse_trace(res, r_obs, cfg, reference)
+
+
+def test_coarse_trace_alpha0_max_below_lattice_start():
+    # the offsets then run downwards from -1 + 2/n_alpha0, and every one
+    # above alpha0_max is penalized, untraced and uncounted
+    r_obs = mr.correction_grid(mr.MirrorScene(xi=1.0, xi0=-0.9, alpha=0.0), ETA, NU)
+    cfg = lc.FitConfig(n_alpha=6, n_alpha0=8, alpha0_max=-0.8, max_evaluations=0)
+    res = lc.fit_scene(r_obs, cfg=cfg)
+    assert len(_coarse_points(cfg)) == 3  # alpha0 = -0.8 on the first three alpha rows
+    _check_coarse_trace(res, r_obs, cfg, _unfolded_objective)
+
+
+def test_fit_scene_asymmetric_eta_grid_with_zero_nu():
+    # eta rows not symmetric about 0, nu = 0 included: the folded model must
+    # gather back onto the right rows and take the removable limits
+    eta = np.linspace(-1.0, 3.0, 17)
+    nu = np.concatenate([[0.0], np.linspace(0.1, 4.0, 20)])
+    scene = mr.MirrorScene(xi=1.0, xi0=-0.3, alpha=0.6)
+    r_obs = _noisy(mr.correction_grid(scene, eta, nu), seed=5)
+    cfg = lc.FitConfig(n_alpha=12, n_alpha0=15, max_evaluations=0)
+    res = lc.fit_scene(r_obs, cfg=cfg)
+    _check_coarse_trace(res, r_obs, cfg, _unfolded_objective)
+    weights = lc._weights_for(r_obs, "auto")
+    for a, b in [(0.0, -0.5), (0.0, 0.7), (0.6, -0.3), (1.1, 3.0)]:
+        assert lc.objective(r_obs, a, b, weights=weights) == pytest.approx(
+            _unfolded_objective(r_obs, a, b, weights), rel=1e-12, abs=0.0)

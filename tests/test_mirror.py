@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from rindler_probe import core_math as cm
 from rindler_probe import freefield as ff
 from rindler_probe import mirror as mr
 from rindler_probe import trajectories as tj
@@ -163,8 +164,8 @@ def test_correction_branch_continuity():
     a = math.sin(1e-8) ** 2
     b = -2.0 * alpha0 * math.cos(1e-8) * math.cosh(eta)
     c = -1.0 - alpha0**2 - math.cos(1e-8) ** 2 * math.sinh(eta) ** 2
-    general = float(mr._correction_general(a, np.asarray(b), np.asarray(c), np.asarray(nu)))
-    normal = float(mr._correction_normal(alpha0, eta, nu))
+    general = float(mr._spectral_sum(mr._terms_general(a, b, c), nu))
+    normal = float(mr._spectral_sum(mr._terms_normal(alpha0, eta), nu))
     assert general == pytest.approx(normal, abs=1e-6)
     # and across the public dispatch threshold
     lo = mr.correction_R(mr.MirrorScene(xi=1.0, xi0=-0.5, alpha=0.99e-4), eta, nu)
@@ -284,3 +285,48 @@ def test_grazing_boundary_scene_finite():
     assert math.isfinite(val)
     # limit: prefactor h(nu), ratio -> 1/alpha0^2 = 1
     assert val == pytest.approx(1.0 / (2.0 * math.cosh(math.pi) ** 2), rel=1e-6)
+
+
+LATTICE_ETA = np.linspace(-1.0, 3.0, 17)  # not symmetric about 0; holds 0 and +-0.5
+LATTICE_NU = np.concatenate([[0.0], np.linspace(0.05, 4.0, 23)])
+
+
+@pytest.mark.parametrize("alpha", [0.0, mr.ALPHA_SWITCH / 2, 1e-3, math.pi / 4, 1.2])
+def test_correction_lattice_matches_correction_R(alpha):
+    ca = math.cos(alpha)
+    # near the lower bound, both signs, 0, and two grazing offsets where
+    # A + C + |B| = 0 on a grid row (eta = 0 and eta = +-0.5)
+    alpha0s = np.array([-ca + 1e-3, -0.5 * ca, 0.0, 0.3, ca, ca * math.cosh(0.5), 2.0, 7.0])
+    lattice = mr.correction_lattice(alpha, alpha0s, LATTICE_ETA, LATTICE_NU)
+    assert lattice.shape == (alpha0s.size, LATTICE_ETA.size, LATTICE_NU.size)
+    assert np.all(np.isfinite(lattice))
+    for row, alpha0 in zip(lattice, alpha0s):
+        scene = mr.MirrorScene(xi=1.0, xi0=alpha0, alpha=alpha)
+        ref = mr.correction_R(scene, LATTICE_ETA[:, None], LATTICE_NU[None, :])
+        assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref))
+    if alpha < mr.ALPHA_SWITCH:
+        assert np.all(lattice[2] == 0.0)  # the degenerate scene alpha = alpha0 = 0
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-3, math.pi / 4, 1.2])
+def test_correction_lattice_matches_psi_closed(alpha):
+    # independent path: R = -tanh(pi nu)/(2 pi nu) Psi(2 nu; A, B(eta), C(eta))
+    alpha0s = np.array([-0.5 * math.cos(alpha), 0.3, 2.0])
+    eta = np.array([-0.75, 0.0, 1.25, 3.0])
+    nu = np.array([0.05, 0.7, 2.5])
+    lattice = mr.correction_lattice(alpha, alpha0s, eta, nu)
+    for i, alpha0 in enumerate(alpha0s):
+        scene = mr.MirrorScene(xi=1.0, xi0=alpha0, alpha=alpha)
+        for j, e in enumerate(eta):
+            coef = mr.abc_coefficients(scene, e)
+            p = cm.PsiParams(coef.A, coef.B, coef.C)
+            for k, v in enumerate(nu):
+                ref = -math.tanh(math.pi * v) / (2.0 * math.pi * v) * cm.psi_closed(2.0 * v, p).value
+                assert lattice[i, j, k] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_correction_lattice_rejects_inadmissible_row():
+    with pytest.raises(ValueError):
+        mr.correction_lattice(0.5, [0.0, -math.cos(0.5)], LATTICE_ETA, LATTICE_NU)
+    with pytest.raises(ValueError):
+        mr.correction_lattice(math.pi / 2, [0.0], LATTICE_ETA, LATTICE_NU)

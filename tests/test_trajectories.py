@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from rindler_probe import trajectories as tj
 
@@ -47,8 +48,28 @@ def test_proper_time_defect_analytic(spec):
 
 
 def test_proper_time_defect_quadratic_probe():
-    # numerically integrated lab time still satisfies the clock constraint
+    # the closed-form lab time satisfies the clock constraint
     assert tj.proper_time_defect(tj.TestQuadratic(0.5), np.linspace(-3, 3, 41)) <= 1e-6
+
+
+@pytest.mark.parametrize("beta, c0", [(0.5, 1.0), (-1.3, 1.0), (0.02, 2.5), (4.0, 0.7)])
+def test_quadratic_lab_time_matches_quadrature(beta, c0):
+    # t(tau) is the integral of the lab speed factor dt/dtau = sqrt(1 + (2 beta tau / c0)^2)
+    tau = np.array([-3.0, -0.4, 1e-6, 0.25, 1.0, 3.0])
+    t, _ = tj.trajectory_points(tj.TestQuadratic(beta), tau, c0)
+    for tau_k, t_k in zip(tau, t):
+        ref, _ = quad(lambda s: math.sqrt(1.0 + (2.0 * beta * s / c0) ** 2), 0.0, tau_k,
+                      epsabs=0.0, epsrel=1e-13)
+        assert t_k == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_quadratic_lab_time_odd():
+    tau = np.linspace(0.0, 4.0, 17)
+    for beta in (0.5, -2.0):
+        t_pos, _ = tj.trajectory_points(tj.TestQuadratic(beta), tau)
+        t_neg, _ = tj.trajectory_points(tj.TestQuadratic(beta), -tau)
+        assert np.array_equal(t_neg, -t_pos)
+        assert np.all(np.diff(t_pos) > 0)
 
 
 def test_interval_function_rindler_closed_form():
