@@ -252,7 +252,10 @@ def cmd_localize(input_path, cfg, stationary=False, out_override=None) -> Path:
         if grid.kind != "correction":
             raise ConfigError(f"{input_path}: expected a correction-kind grid, got {grid.kind!r}")
         xi = _xi_of(cfg["trajectory"], cfg["scene"])
-        fit_cfg = lc.FitConfig(**cfg["fit"]) if cfg["fit"] else lc.FitConfig()
+        try:
+            fit_cfg = lc.FitConfig(**cfg["fit"])
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"config section 'fit': {exc}") from exc
         result = lc.fit_scene(grid, xi, c0, fit_cfg)
         doc = result.to_dict()
     path = out / f"{prefix}_localization.json"

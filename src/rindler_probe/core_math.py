@@ -11,7 +11,10 @@ Helmholtz-Kirchhoff identity.
 
 For a > 0 (and for a = 0, b > 0) the denominator has simple real roots at
 +-argcosh of the positive root of the quadratic in cosh(s); both the closed
-forms and the oracle treat the integral as a principal value there.
+form and the oracle treat the integral as a principal value there.  The
+closed form runs in two vectorized stages, one per (a, b, c) and one per
+frequency; psi_closed and the mirror correction R (mirror.correction_R,
+mirror.correction_lattice) share them and differ only in the stage-2 weights.
 """
 
 from __future__ import annotations
@@ -38,11 +41,10 @@ __all__ = [
     "hk_residual",
 ]
 
-# Case-dispatch thresholds: below these, a (resp. b) is treated as exactly 0.
+# Below these, a (resp. b) is treated as exactly 0: a < A_ZERO takes the a = 0
+# closed form, and a = b = 0 is the delta case.
 A_ZERO = 1e-10
 B_ZERO = 1e-10
-# Below this |v| the 0/0 ratios sin(vx)/tanh(pi v) etc. switch to series.
-V_SERIES = 1e-6
 
 
 class QuadratureError(RuntimeError):
@@ -54,8 +56,9 @@ def sinc(x):
 
     Even in x, bounded by 1 in modulus.  Accepts scalars or arrays.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.sinc(x / np.pi)
+    # at x = 0 the floor gives sin(1e-300)/1e-300 == 1
+    x = np.maximum(np.abs(np.asarray(x, dtype=float)), 1e-300)
+    out = np.sin(x) / x
     if out.ndim == 0:
         return float(out)
     return out
@@ -119,29 +122,62 @@ class PsiResult(NamedTuple):
     is_delta: bool
 
 
-def _ratio_tanh(v, x):
-    # sin(v x) / tanh(pi v), analytic limit x/pi at v = 0
-    if abs(v) < V_SERIES:
-        return (x / math.pi) * (1.0 + v * v * (math.pi**2 / 3.0 - x * x / 6.0))
-    return math.sin(v * x) / math.tanh(math.pi * v)
+# Psi is evaluated in two stages.  Stage 1 depends only on (a, b, c) and
+# reduces the residues at the two roots of the quadratic in cosh(s) to two
+# terms (c+, x+) and (c-, x-); stage 2 adds the frequency,
+#
+#     Psi(v) = w+(v) c+ sinc(v x+) + w-(v) c- sinc(v x-),
+#     w+ = -pi v / tanh(pi v),   w- = -pi v / sinh(pi v).
+#
+# mirror.correction_R runs the same two stages with its own weights, so the
+# roots, logarithms and square roots are computed once per (a, b, c).
 
 
-def _ratio_sinh(v, x):
-    # sin(v x) / sinh(pi v), analytic limit x/pi at v = 0
-    if abs(v) < V_SERIES:
-        return (x / math.pi) * (1.0 - v * v * (x * x + math.pi**2) / 6.0)
-    return math.sin(v * x) / math.sinh(math.pi * v)
+def _lead(x):
+    # x / sinh x, removable at x = 0 (-> 1)
+    small = x < 1e-8
+    x_safe = np.where(small, 1.0, x)
+    return np.where(small, 1.0 - x * x / 6.0, x / np.sinh(x_safe))
 
 
-def _ratio_tanh_half(v, x):
-    # sin(v x) / tanh(pi v / 2), analytic limit 2x/pi at v = 0
-    if abs(v) < V_SERIES:
-        return (2.0 * x / math.pi) * (1.0 + v * v * (math.pi**2 / 12.0 - x * x / 6.0))
-    return math.sin(v * x) / math.tanh(math.pi * v / 2.0)
+def _terms_general(a, b, c):
+    """Stage 1 for a > 0: (c+, x+, c-, x-) from the quadratic coefficients.
+
+    Covers b = 0 exactly, where the roots are +-sqrt(-c/a).  Broadcasts.
+    """
+    sq = np.sqrt(b * b - 4.0 * a * c)
+    # large-magnitude root by the non-cancelling branch, the other by Vieta
+    neg_b = b < 0
+    root_big = np.where(neg_b, (-b + sq) / (2.0 * a), (-b - sq) / (2.0 * a))
+    root_other = c / (a * root_big)
+    x_plus = argcosh(np.where(neg_b, root_big, root_other))
+    x_minus = argcosh(-np.where(neg_b, root_other, root_big))
+    scale = 2.0 / sq
+    return scale * _lead(x_plus), x_plus, scale * _lead(x_minus), x_minus
+
+
+def _terms_normal(u, w):
+    """Stage 1 for a = 0, with b = -2uw and c = -(u^2 + w^2), u > 0 and w != 0.
+
+    Then x+ = x- = |log(u/|w|)| = argcosh(|c/b|), and only the + term
+    (w < 0, so b > 0) or the - term (w > 0) is live.  Broadcasts.
+    """
+    q = np.abs(np.log(u / np.abs(w)))
+    s = np.abs(u * u - w * w)
+    # 2 q / s with the grazing degeneracy q, s -> 0 (q/s -> 1/(2 w^2))
+    tiny = s < 1e-12 * (u * u + w * w)
+    ratio = np.where(tiny, 1.0 / (w * w), 2.0 * q / np.where(tiny, 1.0, s))
+    return np.where(w < 0, ratio, 0.0), q, np.where(w > 0, ratio, 0.0), q
+
+
+def _spectral_sum(terms, w_plus, w_minus, v):
+    """Stage 2: w+ c+ sinc(v x+) + w- c- sinc(v x-), broadcast against v >= 0."""
+    c_plus, x_plus, c_minus, x_minus = terms
+    return w_plus * c_plus * sinc(v * x_plus) + w_minus * c_minus * sinc(v * x_minus)
 
 
 def psi_closed(v: float, p: PsiParams) -> PsiResult:
-    """Closed-form Psi(v; a, b, c) by residue-theorem case dispatch.
+    """Closed-form Psi(v; a, b, c) from the residues at the two roots.
 
     Returns a (value, is_delta) pair.  The degenerate a = b = 0 case is a
     pure point mass at v = 0: the value is 0 for every v != 0 and the
@@ -153,44 +189,20 @@ def psi_closed(v: float, p: PsiParams) -> PsiResult:
     """
     a, b, c = p.a, p.b, p.c
     v = abs(float(v))
-
-    a_is_zero = a < A_ZERO
-    b_is_zero = abs(b) < B_ZERO
-
-    if a_is_zero and b_is_zero:
-        if v == 0.0:
-            raise ValueError("delta case: Psi(0; 0, 0, c) is a point mass, not a number")
-        return PsiResult(0.0, True)
-
-    if a_is_zero:
-        # single pair of poles of 1/(b cosh s + c); principal value when b > 0
-        q = argcosh(abs(c / b))
-        s = math.sqrt((c - b) * (c + b))
-        if b < 0:
-            return PsiResult(-2.0 * math.pi * _ratio_sinh(v, q) / s, False)
-        return PsiResult(-2.0 * math.pi * _ratio_tanh(v, q) / s, False)
-
-    if b_is_zero:
-        x0 = argcosh(math.sqrt(-c / a))
-        s = math.sqrt(c * c + c * a)
-        return PsiResult(-math.pi * _ratio_tanh_half(v, x0) / s, False)
-
-    # general case: roots c+ > 1 and c- < -1 of a y^2 + b y + c.
-    # Compute the large-magnitude root by the non-cancelling formula and the
-    # other by Vieta (c+ c- = c/a), so nothing degrades as a -> 0.
-    delta = b * b - 4.0 * a * c
-    sq = math.sqrt(delta)
-    if b < 0:
-        c_plus = (-b + sq) / (2.0 * a)
-        c_minus = c / (a * c_plus)
+    if a >= A_ZERO:
+        terms = _terms_general(a, b, c)
+    elif abs(b) >= B_ZERO:
+        # b = -2uw, c = -(u^2 + w^2): u + |w| = sqrt(|b| - c), u - |w| = sqrt(-c - |b|)
+        pq = math.sqrt(abs(b) - c) + math.sqrt(-c - abs(b))
+        terms = _terms_normal(pq / 2.0, -b / pq)
+    elif v == 0.0:
+        raise ValueError("delta case: Psi(0; 0, 0, c) is a point mass, not a number")
     else:
-        c_minus = (-b - sq) / (2.0 * a)
-        c_plus = c / (a * c_minus)
-    x_plus = argcosh(c_plus)
-    x_minus = argcosh(-c_minus)
-    term_plus = _ratio_tanh(v, x_plus) / math.sinh(x_plus)
-    term_minus = _ratio_sinh(v, x_minus) / math.sinh(x_minus)
-    return PsiResult(-2.0 * math.pi / sq * (term_plus + term_minus), False)
+        return PsiResult(0.0, True)
+    y = math.pi * v
+    # both weights tend to -1 as v -> 0
+    w_plus, w_minus = (-y / math.tanh(y), -y / math.sinh(y)) if y > 0.0 else (-1.0, -1.0)
+    return PsiResult(float(_spectral_sum(terms, w_plus, w_minus, v)), False)
 
 
 def _real_poles(p: PsiParams):

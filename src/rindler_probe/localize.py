@@ -10,7 +10,8 @@ identifiable; results always report alpha_hat >= 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.optimize import minimize
@@ -29,6 +30,7 @@ __all__ = [
 
 _STDERR_FLOOR = 1e-6
 _PENALTY = 1e30
+_KINDS = {"int": Integral, "float": Real, "str": str}  # FitConfig field types
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,19 @@ class FitConfig:
     no_obstacle_residual: float = 1e-4  # threshold on per-point mean-square mismatch
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _KINDS[f.type]):
+                raise TypeError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.n_alpha < 2 or self.n_alpha0 < 2:
             raise ValueError("grid resolutions must be >= 2")
+        # the coarse offsets run from -1 + 2/n_alpha0 up to alpha0_max
+        start = -1.0 + 2.0 / self.n_alpha0
+        if not self.alpha0_max > start:
+            raise ValueError(
+                f"alpha0_max={self.alpha0_max} must exceed the first coarse offset "
+                f"-1 + 2/n_alpha0 = {start} (n_alpha0={self.n_alpha0})"
+            )
         if self.weight_mode not in ("uniform", "inverse-variance", "auto"):
             raise ValueError(f"unknown weight mode {self.weight_mode!r}")
 
@@ -153,7 +166,7 @@ def fit_scene(r_obs: WignerGrid, xi: float = 1.0, c0: float = 1.0,
     eta, inverse = _folded_eta(r_obs)
     best = None
     for a in alphas:
-        row = alpha0s[(alpha0s > -math.cos(a) + 1e-6) & (alpha0s <= cfg.alpha0_max)]
+        row = alpha0s[alpha0s > -math.cos(a) + 1e-6]
         if row.size == 0:
             continue
         model = correction_lattice(a, row, eta, r_obs.nu)[:, inverse, :]

@@ -10,10 +10,12 @@ collapses to a quadratic in cosh(eta'/2) with coefficients
     C(eta) = -1 - alpha0^2 - cos^2(alpha) sinh^2(eta),   alpha0 = xi0/xi,
 
 which is exactly the admissible domain of the Psi integral in core_math.
-The spectral correction R(eta, nu) is Psi evaluated at 2 nu, normalized by
-the free Planck spectrum.  Its general and normal-incidence closed forms are
-evaluated in two vectorized stages, one per (alpha, alpha0, |eta|) and one
-per nu, shared by correction_R and the pose-fit lattice correction_lattice.
+The spectral correction R(eta, nu) = -tanh(pi nu)/(2 pi nu) Psi(2 nu; A, B, C)
+is Psi normalized by the free Planck spectrum.  correction_R and the pose-fit
+lattice correction_lattice run core_math's two-stage Psi evaluator: stage 1
+once per (alpha, alpha0, |eta|), in its normal-incidence form below
+ALPHA_SWITCH, and stage 2 per nu with the R weights (1 - h, h) in place of
+the Psi weights.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import argcosh
+from .core_math import _spectral_sum, _terms_general, _terms_normal, argcosh
 from .freefield import regularized_pair_term, rindler_wigner
 from .grids import WignerGrid
 from .trajectories import ObliqueRindler
@@ -168,72 +170,21 @@ def _h_factor(nu):
     return 1.0 / (2.0 * np.cosh(np.pi * nu) ** 2)
 
 
-# R is built in two stages.  Stage 1 depends only on (alpha, alpha0, |eta|)
-# and reduces the scene to two terms (c+, x+) and (c-, x-); stage 2 adds the
-# nu dependence,
-#
-#     R = (1 - h(nu)) c+ sinc(2 nu x+) + h(nu) c- sinc(2 nu x-),
-#
-# so the roots, logarithms and square roots are computed once per eta row,
-# not once per (eta, nu) point.
-
-
-def _lead(x):
-    # x / sinh x, removable at x = 0 (-> 1)
-    small = x < 1e-8
-    x_safe = np.where(small, 1.0, x)
-    return np.where(small, 1.0 - x * x / 6.0, x / np.sinh(x_safe))
-
-
-def _terms_general(a, b, c):
-    """Stage 1 at oblique incidence: (c+, x+, c-, x-) from the quadratic coefficients."""
-    sq = np.sqrt(b * b - 4.0 * a * c)
-    # large-magnitude root by the non-cancelling branch, the other by Vieta
-    neg_b = b < 0
-    root_big = np.where(neg_b, (-b + sq) / (2.0 * a), (-b - sq) / (2.0 * a))
-    root_other = c / (a * root_big)
-    x_plus = argcosh(np.where(neg_b, root_big, root_other))
-    x_minus = argcosh(-np.where(neg_b, root_other, root_big))
-    scale = 2.0 / sq
-    return scale * _lead(x_plus), x_plus, scale * _lead(x_minus), x_minus
-
-
-def _terms_normal(alpha0, eta):
-    """Stage 1 at normal incidence: the two-branch closed form.
-
-    Only the + term (alpha0 < 0) or the - term (alpha0 > 0) is live; both
-    vanish for the degenerate |alpha0| < 1e-12.  Vectorized over alpha0.
-    """
-    ch = np.cosh(eta)
-    live = np.abs(alpha0) >= 1e-12
-    a0 = np.where(live, alpha0, 1.0)
-    q = np.abs(np.log(ch / np.abs(a0)))
-    s = np.abs(ch * ch - a0 * a0)
-    # sin(2 nu q)/(nu s) with the grazing degeneracy q, s -> 0 (q/s -> 1/(2 alpha0^2))
-    tiny = s < 1e-12 * (ch * ch + a0 * a0)
-    ratio = np.where(tiny, 1.0 / (a0 * a0), 2.0 * q / np.where(tiny, 1.0, s))
-    return np.where(live & (alpha0 < 0), ratio, 0.0), q, np.where(live & (alpha0 > 0), ratio, 0.0), q
-
-
 def _terms(alpha, alpha0, eta):
-    """Stage 1 for tilt alpha; alpha0 and eta broadcast against each other."""
+    """Stage 1 of core_math's Psi evaluator for tilt alpha; alpha0 and eta broadcast."""
     if abs(alpha) >= ALPHA_SWITCH:
         return _terms_general(*_abc_arrays(alpha, alpha0, eta))
-    return _terms_normal(alpha0, eta)
+    # normal incidence: B = -2 alpha0 cosh(eta) and C = -(cosh^2(eta) + alpha0^2)
+    # in their two-root form; the degenerate alpha0 = 0 has no correction here
+    live = np.abs(alpha0) >= 1e-12
+    c_plus, x_plus, c_minus, x_minus = _terms_normal(np.cosh(eta), np.where(live, alpha0, 1.0))
+    return np.where(live, c_plus, 0.0), x_plus, np.where(live, c_minus, 0.0), x_minus
 
 
-def _sinc(x):
-    # sin(x)/x for x >= 0; at x = 0 the floor gives sin(1e-300)/1e-300 == 1
-    x = np.maximum(x, 1e-300)
-    return np.sin(x) / x
-
-
-def _spectral_sum(terms, nu):
-    """Stage 2: R from the stage-1 terms, broadcast against nu >= 0."""
-    c_plus, x_plus, c_minus, x_minus = terms
+def _correction(terms, nu):
+    """Stage 2 at v = 2 nu with the R weights (1 - h, h), broadcast against nu >= 0."""
     h = _h_factor(nu)
-    two_nu = 2.0 * nu
-    return (1.0 - h) * c_plus * _sinc(two_nu * x_plus) + h * c_minus * _sinc(two_nu * x_minus)
+    return _spectral_sum(terms, 1.0 - h, h, 2.0 * nu)
 
 
 def correction_R(scene: MirrorScene, eta, nu):
@@ -246,7 +197,7 @@ def correction_R(scene: MirrorScene, eta, nu):
     """
     eta = np.abs(np.asarray(eta, dtype=float))
     nu = np.abs(np.asarray(nu, dtype=float))
-    out = _spectral_sum(_terms(scene.alpha, scene.alpha0, eta), nu)
+    out = _correction(_terms(scene.alpha, scene.alpha0, eta), nu)
     if out.ndim == 0:
         return float(out)
     return out
@@ -267,7 +218,7 @@ def correction_lattice(alpha: float, alpha0s, eta, nu):
     eta = np.abs(np.asarray(eta, dtype=float))
     nu = np.abs(np.asarray(nu, dtype=float))
     terms = _terms(alpha, alpha0s[:, None, None], eta[None, :, None])
-    return _spectral_sum(terms, nu)
+    return _correction(terms, nu)
 
 
 def correction_grid(scene: MirrorScene, eta, nu) -> WignerGrid:

@@ -16,6 +16,7 @@ from rindler_probe.core_math import (
     psi_quadrature_full,
     sinc,
 )
+from rindler_probe.validate import psi_parameter_strata
 
 
 def test_sinc_examples():
@@ -115,6 +116,23 @@ def test_psi_even_and_finite(v, a, b, margin):
     res = psi_closed(v, p)
     assert math.isfinite(res.value)
     assert psi_closed(-v, p).value == res.value
+
+
+# a = 0, b < 0: no real poles, so the integrand is smooth.  The psi-oracle
+# suite's two such tuples at v = 6 (|Psi| 4e-9 and 3e-8), two at lower v,
+# and two v = 6 tuples near a zero of the sine (|Psi| 2e-10 and 4e-10)
+ARBITER_TUPLES = [t for t in psi_parameter_strata() if t[1] == 0.0 and t[2] < 0.0 and t[0] in (0.7, 6.0)]
+ARBITER_TUPLES += [(6.0, 0.0, -0.5, -3.44), (6.0, 0.0, -1.0, -4.11)]
+
+
+@pytest.mark.parametrize("v, a, b, c", ARBITER_TUPLES)
+def test_psi_closed_matches_mpmath(v, a, b, c):
+    mpmath = pytest.importorskip("mpmath", reason="the high-precision arbiter needs mpmath")
+    with mpmath.workdps(40):
+        # the even integrand on [0, 60]; the tail beyond is below 1e-25
+        half = mpmath.quad(lambda s: mpmath.cos(v * s) / (b * mpmath.cosh(s) + c), mpmath.linspace(0, 60, 61))
+        ref = float(2 * half)
+    assert psi_closed(v, PsiParams(a, b, c)).value == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_quadrature_imaginary_self_check():

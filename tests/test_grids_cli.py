@@ -250,6 +250,30 @@ def test_cli_rejects_unknown_config_keys(tmp_path):
     assert "spectrum" in result.stderr
 
 
+def _localize_with_fit(tmp_path, fit):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, scene={"xi": 1.0, "xi0": -0.5, "alpha": 0.0})
+    result = run_cli("spectrum", "--config", str(cfg_path), "--out", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    write_config(cfg_path, scene={"xi": 1.0, "xi0": -0.5, "alpha": 0.0}, fit=fit)
+    return run_cli("localize", str(tmp_path / "t_correction.csv"), "--config", str(cfg_path),
+                   "--out", str(tmp_path))
+
+
+def test_cli_localize_rejects_alpha0_max_below_lattice_start(tmp_path):
+    result = _localize_with_fit(tmp_path, {"n_alpha0": 8, "alpha0_max": -0.8})
+    assert result.returncode == 2
+    assert "'fit'" in result.stderr and "alpha0_max=-0.8" in result.stderr
+    assert not (tmp_path / "t_localization.json").exists()
+
+
+def test_cli_localize_wrong_type_fit_value_is_config_error(tmp_path):
+    result = _localize_with_fit(tmp_path, {"n_alpha": "ten"})
+    assert result.returncode == 2
+    assert "config error" in result.stderr and "'fit'" in result.stderr and "n_alpha" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_cli_rejects_bad_trajectory(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg = write_config(cfg_path, trajectory={"kind": "warp", "factor": 2})

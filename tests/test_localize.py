@@ -113,9 +113,7 @@ def test_fit_distance_band_too_narrow():
 def _coarse_points(cfg):
     alphas = np.linspace(0.0, math.pi / 2 * (1.0 - 1.0 / cfg.n_alpha), cfg.n_alpha)
     alpha0s = np.linspace(-1.0 + 2.0 / cfg.n_alpha0, cfg.alpha0_max, cfg.n_alpha0)
-    # the admissible set, minus the points that the penalty rejects when
-    # alpha0_max lies below the lattice's first offset
-    return [(a, b) for a in alphas for b in alpha0s if -math.cos(a) + 1e-6 < b <= cfg.alpha0_max]
+    return [(a, b) for a in alphas for b in alpha0s if -math.cos(a) + 1e-6 < b]  # the admissible set
 
 
 def _noisy(grid, seed):
@@ -160,14 +158,21 @@ def test_coarse_trace_matches_objective(alpha, alpha0, noisy):
     _check_coarse_trace(res, r_obs, cfg, reference)
 
 
-def test_coarse_trace_alpha0_max_below_lattice_start():
-    # the offsets then run downwards from -1 + 2/n_alpha0, and every one
-    # above alpha0_max is penalized, untraced and uncounted
-    r_obs = mr.correction_grid(mr.MirrorScene(xi=1.0, xi0=-0.9, alpha=0.0), ETA, NU)
-    cfg = lc.FitConfig(n_alpha=6, n_alpha0=8, alpha0_max=-0.8, max_evaluations=0)
-    res = lc.fit_scene(r_obs, cfg=cfg)
-    assert len(_coarse_points(cfg)) == 3  # alpha0 = -0.8 on the first three alpha rows
-    _check_coarse_trace(res, r_obs, cfg, _unfolded_objective)
+def test_fit_config_rejects_alpha0_max_below_lattice_start():
+    # the coarse offsets run from -1 + 2/n_alpha0 up to alpha0_max; at or
+    # below that start they would run downwards past alpha0_max
+    for alpha0_max in (-0.8, -0.75):
+        with pytest.raises(ValueError, match=rf"alpha0_max={alpha0_max}.*-0\.75.*n_alpha0=8"):
+            lc.FitConfig(n_alpha0=8, alpha0_max=alpha0_max)
+    assert lc.FitConfig(n_alpha0=8, alpha0_max=-0.7).alpha0_max == -0.7
+
+
+def test_fit_config_rejects_wrong_types():
+    for kwargs in ({"n_alpha": "ten"}, {"n_alpha0": 10.5}, {"max_evaluations": True},
+                   {"alpha0_max": "10"}, {"refinement_tol": None}, {"weight_mode": 1}):
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            lc.FitConfig(**kwargs)
+    assert lc.FitConfig(alpha0_max=3, n_alpha=np.int64(5)).alpha0_max == 3
 
 
 def test_fit_scene_asymmetric_eta_grid_with_zero_nu():

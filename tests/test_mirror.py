@@ -164,8 +164,8 @@ def test_correction_branch_continuity():
     a = math.sin(1e-8) ** 2
     b = -2.0 * alpha0 * math.cos(1e-8) * math.cosh(eta)
     c = -1.0 - alpha0**2 - math.cos(1e-8) ** 2 * math.sinh(eta) ** 2
-    general = float(mr._spectral_sum(mr._terms_general(a, b, c), nu))
-    normal = float(mr._spectral_sum(mr._terms_normal(alpha0, eta), nu))
+    general = float(mr._correction(cm._terms_general(a, b, c), nu))
+    normal = float(mr._correction(cm._terms_normal(math.cosh(eta), alpha0), nu))
     assert general == pytest.approx(normal, abs=1e-6)
     # and across the public dispatch threshold
     lo = mr.correction_R(mr.MirrorScene(xi=1.0, xi0=-0.5, alpha=0.99e-4), eta, nu)
@@ -323,6 +323,24 @@ def test_correction_lattice_matches_psi_closed(alpha):
             for k, v in enumerate(nu):
                 ref = -math.tanh(math.pi * v) / (2.0 * math.pi * v) * cm.psi_closed(2.0 * v, p).value
                 assert lattice[i, j, k] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-3, math.pi / 4, 1.2])
+def test_correction_lattice_matches_psi_quadrature(alpha):
+    # R against the PV quadrature oracle, which shares no code with the closed
+    # form; no (alpha0, eta) below sits on a grazing row A + C + |B| = 0
+    alpha0s = np.array([-0.5 * math.cos(alpha), 0.3, 2.0])
+    eta = np.array([-0.6, 0.0, 0.8])
+    nu = np.array([0.05, 0.7, 2.5])
+    lattice = mr.correction_lattice(alpha, alpha0s, eta, nu)
+    for i, alpha0 in enumerate(alpha0s):
+        scene = mr.MirrorScene(xi=1.0, xi0=alpha0, alpha=alpha)
+        for j, e in enumerate(eta):
+            coef = mr.abc_coefficients(scene, e)
+            p = cm.PsiParams(coef.A, coef.B, coef.C)
+            for k, v in enumerate(nu):
+                ref = -math.tanh(math.pi * v) / (2.0 * math.pi * v) * cm.psi_quadrature(2.0 * v, p)
+                assert lattice[i, j, k] == pytest.approx(ref, rel=1e-8, abs=0.0)
 
 
 def test_correction_lattice_rejects_inadmissible_row():
