@@ -9,9 +9,16 @@ with the two-term source spectrum F(omega) = f0 |omega| e^{-eps|omega|}
 
     (f0 / 8 pi^2 rho) [ g(dT + rho) - g(dT - rho) ],   g(x) = x/(x^2 + eps^2),
 
-with rho = |dX|/c0, which every regularized closed form in this module is an
-instance of.  The quadrature path (autocorr_general) evaluates the same
-integral numerically and serves as the independent oracle.
+with rho = |dX|/c0.  On the light-cone coordinates d_+- = dT +- rho the
+difference quotient is exact algebra,
+
+    (f0 / 4 pi^2) (eps^2 - d_+ d_-) / ((d_+^2 + eps^2)(d_-^2 + eps^2)),
+
+with no division by rho and no rho -> 0 branch.  Every regularized closed
+form here and in mirror evaluates this light-cone form, and each supplies
+d_+ and d_- without cancellation.  The quadrature path (autocorr_general)
+evaluates the omega-integral numerically and serves as the independent
+oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from scipy.integrate import quad
 
 from .core_math import QuadratureConfig, QuadratureError
 from .grids import WignerGrid, window_kernel
-from .trajectories import TrajectorySpec, trajectory_points
+from .trajectories import TrajectorySpec, interval_function, trajectory_points
 
 __all__ = [
     "SourceSpectrum",
@@ -72,36 +79,44 @@ class SourceSpectrum:
         return out
 
 
+def _light_cone_pair(d_plus, d_minus, eps: float, f0: float):
+    # (f0/4pi^2)(eps^2 - d+ d-)/((d+^2 + eps^2)(d-^2 + eps^2)), as an ndarray
+    if eps <= 0:
+        raise ValueError("regularized pair term requires eps > 0")
+    e2 = eps * eps
+    den = (d_plus * d_plus + e2) * (d_minus * d_minus + e2)
+    return (f0 / (4.0 * math.pi**2)) * (e2 - d_plus * d_minus) / den
+
+
 def regularized_pair_term(rho, dt, eps: float, f0: float = 1.0):
     """Closed form of (f0/8pi^2) int |w| e^(-eps|w|) sinc(w rho) e^{i w dt} dw.
 
     rho is the spatial separation over c0 (>= 0), dt the time separation.
-    The rho -> 0 limit (f0/4pi^2)(eps^2 - dt^2)/(eps^2 + dt^2)^2 is used when
-    rho is negligible against |dt| + eps.  Vectorized over rho, dt.
+    Evaluated in the light-cone form at d_+- = dt +- rho, which holds at
+    rho = 0 as it stands.  Vectorized over rho, dt.
     """
-    if eps <= 0:
-        raise ValueError("regularized_pair_term requires eps > 0")
     rho = np.asarray(rho, dtype=float)
     dt = np.asarray(dt, dtype=float)
-    rho, dt = np.broadcast_arrays(rho, dt)
-    small = rho < 1e-7 * (np.abs(dt) + eps + rho)
-    rho_safe = np.where(small, 1.0, rho)
-
-    def g(x):
-        return x / (x * x + eps * eps)
-
-    full = (g(dt + rho_safe) - g(dt - rho_safe)) / rho_safe
-    limit = 2.0 * (eps * eps - dt * dt) / (eps * eps + dt * dt) ** 2
-    out = f0 / (8.0 * math.pi**2) * np.where(small, limit, full)
+    out = _light_cone_pair(dt + rho, dt - rho, eps, f0)
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def _fourier_sin(f, a: float, wvar: float, q: QuadratureConfig) -> float:
-    # int_a^inf f(w) sin(wvar * w) dw, for decaying f, any sign of wvar
+def _fourier_sin(f, a: float, wvar: float, q: QuadratureConfig, decay_length: float = math.inf) -> float:
+    # int_a^inf f(w) sin(wvar * w) dw, for decaying f, any sign of wvar.  QAWF's
+    # first cycle is pi/|wvar| long; at |wvar| decay_length < 0.1 it spans
+    # thousands of decay lengths, its nodes miss where f lives, and it returns
+    # ~0 with a ~0 error estimate.  There the phase advances by less than 0.1
+    # over a decay length, and a plain quad of f(w) sin(wvar w) is accurate.
     if wvar == 0.0:
         return 0.0
+    if abs(wvar) * decay_length < 0.1:
+        val, err = quad(lambda w: f(w) * math.sin(wvar * w), a, np.inf,
+                        epsabs=q.atol, epsrel=q.rtol, limit=q.max_subdivisions)
+        if err > max(q.atol, q.rtol * abs(val)) * 100.0:
+            raise QuadratureError(f"slow-oscillation tail integral did not converge (err {err:.2e})")
+        return val
     val, err = quad(f, a, np.inf, weight="sin", wvar=abs(wvar), limlst=200, limit=q.max_subdivisions)
     if err > max(q.atol, q.rtol * abs(val)) * 100.0:
         raise QuadratureError(f"oscillatory tail integral did not converge (err {err:.2e})")
@@ -138,6 +153,13 @@ def autocorr_general(
     rho = float(np.linalg.norm(x_p[0] - x_m[0])) / c0
     dt = float(t_p[0] - t_m[0])
     tiny_rho = rho < 1e-9 * (abs(dt) + rho + spectrum.eps + 1e-30)
+    if not tiny_rho:
+        # the smaller of rho +- dt is D/(the larger), D = rho^2 - dt^2 taken
+        # from the light-cone split; as a difference it would cancel terms of
+        # size cosh(eta) on the hyperbolic world-lines
+        larger = rho + abs(dt)
+        smaller = interval_function(spec, tau, taup, c0) / larger
+        rho_plus_dt, rho_minus_dt = (larger, smaller) if dt >= 0 else (smaller, larger)
 
     total = 0.0
     if spectrum.f0 > 0:
@@ -152,7 +174,8 @@ def autocorr_general(
             total += spectrum.f0 / (4.0 * math.pi**2) * part
         else:
             decay = lambda w: math.exp(-eps * w)
-            part = _fourier_sin(decay, 0.0, rho + dt, q) + _fourier_sin(decay, 0.0, rho - dt, q)
+            part = _fourier_sin(decay, 0.0, rho_plus_dt, q, 1.0 / eps)
+            part += _fourier_sin(decay, 0.0, rho_minus_dt, q, 1.0 / eps)
             total += spectrum.f0 / (8.0 * math.pi**2 * rho) * part
 
     if spectrum.f1 > 0:
@@ -165,7 +188,7 @@ def autocorr_general(
             total += spectrum.f1 / (4.0 * math.pi**2) * part
         else:
             inv2 = lambda w: 1.0 / (w * w)
-            part = _fourier_sin(inv2, omega_min, rho + dt, q) + _fourier_sin(inv2, omega_min, rho - dt, q)
+            part = _fourier_sin(inv2, omega_min, rho_plus_dt, q) + _fourier_sin(inv2, omega_min, rho_minus_dt, q)
             total += spectrum.f1 / (8.0 * math.pi**2 * rho) * part
     return total
 
@@ -184,18 +207,17 @@ def rindler_autocorr(xi: float, f0: float, taup, c0: float = 1.0):
 def rindler_autocorr_regularized(xi: float, f0: float, eps: float, tau, taup, c0: float = 1.0):
     """Finite-energy version of the Rindler autocorrelation (eps > 0).
 
-    Instance of regularized_pair_term with
-    rho = (2 xi/c0) |sinh(eta) sinh(eta'/2)|, dt = (2 xi/c0) cosh(eta) sinh(eta'/2);
-    at eta = 0 the removable 0/0 becomes the exact limit
-    f0 (eps^2 - s)/(4 pi^2 (s + eps^2)^2) with s = (2 xi/c0)^2 sinh^2(eta'/2).
+    The light-cone pair term at d_+- = (2 xi/c0) sinh(eta'/2) e^{+-eta}, the
+    difference identities for dt +- rho; eta = 0 needs no special case.
     """
     tau = np.asarray(tau, dtype=float)
     taup = np.asarray(taup, dtype=float)
     eta = c0 * tau / xi
-    etap = c0 * taup / xi
-    rho = (2.0 * xi / c0) * np.abs(np.sinh(eta) * np.sinh(etap / 2.0))
-    dt = (2.0 * xi / c0) * np.cosh(eta) * np.sinh(etap / 2.0)
-    return regularized_pair_term(rho, dt, eps, f0)
+    s = (2.0 * xi / c0) * np.sinh(c0 * taup / (2.0 * xi))
+    out = _light_cone_pair(s * np.exp(eta), s * np.exp(-eta), eps, f0)
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def rindler_wigner(xi: float, f0: float, omega, c0: float = 1.0):
@@ -462,10 +484,13 @@ def wigner_transform_fft(corr_values, span: float):
     Returns (omega, W) with W(omega) = sum_j C(t_j) e^{i omega t_j} dt.
     Rectangle rule: by Poisson summation the error is the sum of spectrum
     aliases at omega +- 2 pi/dt, so dt must resolve the narrowest feature.
+    The samples are real, so the real part of the spectrum is even in omega:
+    one real-input FFT gives the half omega >= 0, mirrored for omega < 0.
     """
     corr_values = np.asarray(corr_values, dtype=float)
     n = corr_values.size
     dt = 2.0 * span / n
-    w = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(corr_values))).real * dt
-    omega = np.fft.fftshift(np.fft.fftfreq(n, d=dt)) * 2.0 * math.pi
+    half = np.fft.rfft(np.fft.ifftshift(corr_values)).real * dt
+    w = np.concatenate((half[n // 2 : 0 : -1], half[: n - n // 2]))
+    omega = np.arange(-(n // 2), n - n // 2) * (1.0 / (n * dt)) * 2.0 * math.pi
     return omega, w

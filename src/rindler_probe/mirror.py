@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_math import _spectral_sum, _terms_general, _terms_normal, argcosh
-from .freefield import regularized_pair_term, rindler_wigner
+from .freefield import _light_cone_pair, rindler_wigner
 from .grids import WignerGrid
 from .trajectories import ObliqueRindler
 
@@ -147,22 +147,43 @@ def mirror_autocorr(scene: MirrorScene, f0: float, tau, taup):
     return out
 
 
+def _image_light_cone(scene: MirrorScene, eta, s):
+    """(d_+, d_-) between the observer and its image in z = 0.
+
+    d_+ d_- = Q = (2 xi/c0)^2 (A y^2 + B y + C), the quadratic of
+    mirror_autocorr in y = cosh(eta'/2) = sqrt(1 + s^2).  d_+ = p = |dt| +
+    rho_im is a sum of non-negative terms, p > 0 because the observer never
+    touches the mirror, and d_- = Q/p.
+    """
+    # |dt| = scale cosh(eta) s; rho_im is over scale too
+    scale = 2.0 * scene.xi / scene.c0
+    y2 = 1.0 + s * s
+    y = np.sqrt(y2)
+    sa, ca = math.sin(scene.alpha), math.cos(scene.alpha)
+    rho_im = np.sqrt((sa * np.sinh(eta) * s) ** 2 + (scene.alpha0 + ca * np.cosh(eta) * y) ** 2)
+    p = scale * (np.cosh(eta) * s + rho_im)
+    a, b, c = _abc_arrays(scene.alpha, scene.alpha0, eta)
+    q = (scale**2 * a) * y2 + (scale**2 * b) * y + scale**2 * c
+    return p, q / p
+
+
 def mirror_autocorr_regularized(scene: MirrorScene, f0: float, eps: float, tau, taup):
-    """Finite-energy mirror autocorrelation: free pair term minus image pair term."""
+    """Finite-energy mirror autocorrelation: free pair term minus image pair term.
+
+    Both are freefield's light-cone pair term, with s = sinh(|eta'|/2) the
+    only transcendental per lag.  Free: d_+- = (2 xi/c0) s e^{+-eta}.
+    Image: see _image_light_cone.
+    """
     tau = np.asarray(tau, dtype=float)
     taup = np.asarray(taup, dtype=float)
-    xi, c0 = scene.xi, scene.c0
-    eta1 = c0 * (tau + taup / 2.0) / xi
-    eta2 = c0 * (tau - taup / 2.0) / xi
-    h1 = np.cosh(eta1)
-    h2 = np.cosh(eta2)
-    dt = (xi / c0) * (np.sinh(eta1) - np.sinh(eta2))
-    rho_free = (xi / c0) * np.abs(h1 - h2)  # the rigid tilt preserves |dX| = xi |h1 - h2|
-    sa, ca = math.sin(scene.alpha), math.cos(scene.alpha)
-    dx = xi * sa * (h1 - h2)
-    dz = -2.0 * scene.xi0 - xi * ca * (h1 + h2)
-    rho_im = np.sqrt(dx**2 + dz**2) / c0
-    return regularized_pair_term(rho_free, dt, eps, f0) - regularized_pair_term(rho_im, dt, eps, f0)
+    eta = scene.c0 * tau / scene.xi
+    s = np.sinh(np.abs(taup) * (scene.c0 / (2.0 * scene.xi)))
+    ds = (2.0 * scene.xi / scene.c0) * s
+    out = _light_cone_pair(ds * np.exp(eta), ds * np.exp(-eta), eps, f0)
+    out = out - _light_cone_pair(*_image_light_cone(scene, eta, s), eps, f0)
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def _h_factor(nu):

@@ -146,6 +146,18 @@ def test_wigner_regularized_matches_fft():
     assert np.max(np.abs(w[sel] - target) / target) <= 1e-3
 
 
+@pytest.mark.parametrize("n", [8, 9, 1001, 4096, 4097])
+def test_wigner_transform_fft_matches_complex_fft(n):
+    # non-symmetric samples, so the half-spectrum mirror is checked on odd n too
+    span = 3.0
+    dt = 2.0 * span / n
+    corr = np.random.default_rng(n).standard_normal(n)
+    om, w = ff.wigner_transform_fft(corr, span)
+    full = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(corr))).real * dt
+    assert np.max(np.abs(w - full)) <= 1e-13 * np.max(np.abs(full))
+    assert np.array_equal(om, np.fft.fftshift(np.fft.fftfreq(n, dt)) * 2.0 * math.pi)
+
+
 def test_inertial_wigner_invariant_family():
     nu = np.linspace(0.3, 4.0, 17)
     s_f0 = ff.SourceSpectrum(f0=2.0, eps=0.0)
